@@ -1,7 +1,7 @@
-"""Batched sweep throughput and the zero-copy job plane, measured.
+"""Batched sweep throughput, measured (kernel layer only).
 
-Two claims from the batched-execution work, each checked here and the
-full-scale numbers recorded in ``benchmarks/results/batch_sweep.txt``:
+The claim from the batched-execution work, checked here and the full-scale
+numbers recorded in ``benchmarks/results/batch_sweep.txt``:
 
 * **Engine throughput** — packing a sweep's fixed-order lanes (every
   instance × static-order heuristic combination) into one
@@ -11,13 +11,9 @@ full-scale numbers recorded in ``benchmarks/results/batch_sweep.txt``:
   256 instances × 1000 tasks on the memory-contended regimes the paper
   studies; the unconstrained regime is recorded too (it gains less, since
   the per-instance kernel is cheapest exactly when no lane ever waits).
-* **IPC bytes** — with the ``REPRO_SHM`` job plane, a process-backend wire
-  job carries a ~200-byte segment handle instead of the pickled payload;
-  on a 10^5-task trace that cuts per-chunk shipped bytes by far more than
-  the 10x bar.  This ratio is deterministic, so it gates at every scale.
 
-``REPRO_SCALE=ci`` (the CI smoke step) shrinks both workloads, checks the
-bit-identity and the IPC ratio, and skips the wall-clock bar: timing on
+``REPRO_SCALE=ci`` (the CI smoke step) shrinks the workload, checks the
+bit-identity, and skips the wall-clock bar: timing on
 shared CI runners is too noisy to gate on (the same convention as
 ``bench_sweep_scaling.py``).  Any other scale runs the full shape, writes
 the table, and asserts the >= 3x throughput bar.
@@ -26,15 +22,12 @@ the table, and asserts the >= 3x throughput bar.
 from __future__ import annotations
 
 import math
-import pickle
 import time
 
 import numpy as np
 
 from conftest import RESULTS_DIR
-from repro.api import SweepJob
 from repro.api.registry import resolve_solvers
-from repro.api.shm import ShmPlane
 from repro.core import Instance, Task
 from repro.experiments.config import scaled_config
 from repro.simulator import BatchedPlane, simulate_columnar
@@ -57,10 +50,6 @@ REGIMES = (
     ("relaxed x3.6", 3.6),
     ("unconstrained", None),
 )
-
-#: Trace sizes for the wire-bytes comparison.
-IPC_TASKS_CI = 10_000
-IPC_TASKS_FULL = 100_000
 
 
 def build_instances(count: int, tasks: int, factor: float | None) -> list[Instance]:
@@ -131,7 +120,7 @@ def test_batched_throughput_vs_per_instance_columnar():
     print(report)
     if not scale_is_ci:
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (RESULTS_DIR / "batch_sweep.txt").write_text(report + "\n" + ipc_report() + "\n")
+        (RESULTS_DIR / "batch_sweep.txt").write_text(report + "\n")
         contended = [s for regime, s in speedups.items() if regime != "unconstrained"]
         # The bar from the batching work: >= 3x somewhere in the contended
         # band (the regimes hover within ~15% of each other and single-core
@@ -143,36 +132,5 @@ def test_batched_throughput_vs_per_instance_columnar():
         )
 
 
-def ipc_report() -> str:
-    """Per-chunk wire bytes: pickled payload vs shm handle (deterministic)."""
-    scale_is_ci = scaled_config() is scaled_config("ci")
-    tasks = IPC_TASKS_CI if scale_is_ci else IPC_TASKS_FULL
-    trace = synthetic_trace("balanced", tasks=tasks, seed=2019)
-    job = SweepJob(payload=trace, solver_specs=SOLVERS, capacity_factors=(1.0, 1.5))
-    pickled = len(pickle.dumps(job.to_wire()))
-    with ShmPlane() as plane:
-        shipped = len(pickle.dumps(job.to_wire(plane=plane)))
-    ratio = pickled / shipped
-    lines = [
-        "",
-        "Process-backend wire bytes per job (REPRO_SHM zero-copy plane)",
-        f"payload: one synthetic trace, {tasks} tasks",
-        "",
-        f"{'wire form':<18} {'bytes':>12}",
-        f"{'pickled payload':<18} {pickled:>12,}",
-        f"{'shm handle':<18} {shipped:>12,}",
-        f"{'reduction':<18} {ratio:>11.0f}x",
-    ]
-    assert ratio >= 10.0, f"shm handle only cut wire bytes {ratio:.1f}x (< 10x)"
-    return "\n".join(lines)
-
-
-def test_shm_plane_cuts_wire_bytes():
-    report = ipc_report()
-    print()
-    print(report)
-
-
 if __name__ == "__main__":  # pragma: no cover - manual run
     test_batched_throughput_vs_per_instance_columnar()
-    test_shm_plane_cuts_wire_bytes()

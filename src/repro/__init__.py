@@ -83,7 +83,7 @@ from .core import (
     ratio_to_optimal,
     validate_schedule,
 )
-from .heuristics import Category, Heuristic, all_heuristics, get_heuristic
+from .heuristics import Category, Heuristic
 from .portfolio import (
     CachedSolver,
     EmpiricalSelector,
@@ -109,7 +109,7 @@ from .simulator import (
     simulate_in_batches,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Task",
@@ -133,9 +133,6 @@ __all__ = [
     "register_solver",
     "solve",
     "solver_names",
-    # deprecated pre-facade registry helpers
-    "all_heuristics",
-    "get_heuristic",
     # core + simulation kernel
     "EventTrace",
     "MachineModel",

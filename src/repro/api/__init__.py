@@ -53,7 +53,6 @@ from .registry import (
     wire_to_spec,
 )
 from .results import ResultSet, RunRecord, SpilledResultSet
-from .shm import SHM_ENV_VAR, ShmHandle, ShmPlane, shm_enabled
 from .sharding import (
     ShardWriter,
     merge_shards,
@@ -68,11 +67,8 @@ __all__ = [
     "DEFAULT_CAPACITY_FACTORS",
     "DEFAULT_SPILL_THRESHOLD",
     "PAPER_FIGURE_ORDER",
-    "SHM_ENV_VAR",
     "SPILL_THRESHOLD_ENV_VAR",
     "ExecutionBackend",
-    "ShmHandle",
-    "ShmPlane",
     "NamedSpec",
     "ProcessBackend",
     "ResultSet",
@@ -103,7 +99,6 @@ __all__ = [
     "parse_shard",
     "register_solver",
     "resolve_backend",
-    "shm_enabled",
     "resolve_solvers",
     "run_solvers_on_instance",
     "solve",

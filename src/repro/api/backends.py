@@ -53,7 +53,6 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_che
 
 from .. import obs
 from .results import RunRecord
-from .shm import ShmPlane, shm_enabled
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -459,12 +458,6 @@ def _process_worker_init() -> None:
     warm_registry()
 
 
-def _is_shm_handle(wire_job) -> bool:
-    from .shm import ShmHandle
-
-    return isinstance(getattr(wire_job, "payload", None), ShmHandle)
-
-
 def _wire_probe():
     """Trial-pickle gate probing one wire job per *distinct payload type*.
 
@@ -504,103 +497,33 @@ class ProcessBackend:
 
     name = "processes"
 
-    def __init__(self, n_jobs: int | None = None, *, shm: bool | None = None) -> None:
+    def __init__(self, n_jobs: int | None = None) -> None:
         self.n_jobs = n_jobs
-        #: ``True``/``False`` force the shared-memory job plane on or off;
-        #: ``None`` defers to the ``REPRO_SHM`` environment variable.
-        self.shm = shm
-
-    def _job_plane(self) -> "ShmPlane | None":
-        return ShmPlane() if shm_enabled(self.shm) else None
 
     def run(self, jobs, *, chunk_size=None, on_progress=None):
         chunk_size = _checked_chunk_size(chunk_size)
-        plane = self._job_plane()
-        try:
-            wire_jobs = [job.to_wire(plane=plane) if plane is not None else job.to_wire() for job in jobs]
-            if not wire_jobs:
-                return []
-            # Trial pickles before the pool spins up: sweep jobs share their
-            # solver specs, so probing one job per distinct payload type gives
-            # a clear early error for every job that could fail — without
-            # serializing each payload twice.
-            probe = _wire_probe()
-            for wire_job, job in zip(wire_jobs, jobs):
-                probe(wire_job, job)
-            workers = _effective_workers(self.n_jobs, len(wire_jobs))
-            size = chunk_size if chunk_size is not None else auto_chunk_size(len(wire_jobs), workers)
-            chunks = _chunked(wire_jobs, size)
-            if obs.is_enabled():
-                for chunk in chunks:
-                    obs.REGISTRY.inc("sweep_ipc_bytes_shipped_total", len(pickle.dumps(chunk)))
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(chunks)), initializer=_process_worker_init
-                ) as pool:
-                    per_chunk = _run_pool(
-                        pool, chunks, len(wire_jobs), on_progress, runner=_process_runner()
-                    )
-            except BrokenProcessPool as error:
-                raise RuntimeError(
-                    "the process-backend worker pool died unexpectedly (a worker was "
-                    "killed — out-of-memory, a segfault in an extension, or an "
-                    "interpreter crash); re-run with backend='serial' to reproduce "
-                    "the failure in-process"
-                ) from error
-        finally:
-            if plane is not None:
-                plane.close()
-        return [records for chunk in per_chunk for records in chunk]
-
-    def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
-        """Bounded-window streaming over a process pool (ordered yields).
-
-        Each chunk is converted to wire form as it is pulled; one job per
-        distinct payload type gets the same trial pickle as :meth:`run`, so
-        an unpicklable payload anywhere in the stream fails with a clear
-        TypeError instead of an opaque pool teardown.  With the shm plane
-        on, each chunk's segments are released as soon as the chunk's
-        results are back, keeping ``/dev/shm`` usage proportional to the
-        in-flight window.
-        """
-        workers = _effective_workers(self.n_jobs, None)
-        if max_pending is None:
-            max_pending = workers * _CHUNKS_PER_WORKER
-        plane = self._job_plane()
-        pending_handles: dict = {}
-
-        def wired(source):
-            probe = _wire_probe()
-            traced = obs.is_enabled()
-            for tag, chunk in source:
-                if plane is not None:
-                    wire_chunk = [job.to_wire(plane=plane) for job in chunk]
-                    pending_handles[tag] = [
-                        job.payload for job in wire_chunk if _is_shm_handle(job)
-                    ]
-                else:
-                    wire_chunk = [job.to_wire() for job in chunk]
-                for wire_job, job in zip(wire_chunk, chunk):
-                    probe(wire_job, job)
-                if traced:
-                    obs.REGISTRY.inc(
-                        "sweep_ipc_bytes_shipped_total", len(pickle.dumps(wire_chunk))
-                    )
-                yield tag, wire_chunk
-
-        def chunk_done(tag, count):
-            if plane is not None:
-                for handle in pending_handles.pop(tag, ()):
-                    plane.release(handle)
-            if on_chunk is not None:
-                on_chunk(tag, count)
-
+        wire_jobs = [job.to_wire() for job in jobs]
+        if not wire_jobs:
+            return []
+        # Trial pickles before the pool spins up: sweep jobs share their
+        # solver specs, so probing one job per distinct payload type gives
+        # a clear early error for every job that could fail — without
+        # serializing each payload twice.
+        probe = _wire_probe()
+        for wire_job, job in zip(wire_jobs, jobs):
+            probe(wire_job, job)
+        workers = _effective_workers(self.n_jobs, len(wire_jobs))
+        size = chunk_size if chunk_size is not None else auto_chunk_size(len(wire_jobs), workers)
+        chunks = _chunked(wire_jobs, size)
+        if obs.is_enabled():
+            for chunk in chunks:
+                obs.REGISTRY.inc("sweep_ipc_bytes_shipped_total", len(pickle.dumps(chunk)))
         try:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_process_worker_init
+                max_workers=min(workers, len(chunks)), initializer=_process_worker_init
             ) as pool:
-                yield from _stream_pool(
-                    pool, wired(chunks), _process_runner(), chunk_done, max_pending
+                per_chunk = _run_pool(
+                    pool, chunks, len(wire_jobs), on_progress, runner=_process_runner()
                 )
         except BrokenProcessPool as error:
             raise RuntimeError(
@@ -609,9 +532,47 @@ class ProcessBackend:
                 "interpreter crash); re-run with backend='serial' to reproduce "
                 "the failure in-process"
             ) from error
-        finally:
-            if plane is not None:
-                plane.close()
+        return [records for chunk in per_chunk for records in chunk]
+
+    def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
+        """Bounded-window streaming over a process pool (ordered yields).
+
+        Each chunk is converted to wire form as it is pulled; one job per
+        distinct payload type gets the same trial pickle as :meth:`run`, so
+        an unpicklable payload anywhere in the stream fails with a clear
+        TypeError instead of an opaque pool teardown.
+        """
+        workers = _effective_workers(self.n_jobs, None)
+        if max_pending is None:
+            max_pending = workers * _CHUNKS_PER_WORKER
+
+        def wired(source):
+            probe = _wire_probe()
+            traced = obs.is_enabled()
+            for tag, chunk in source:
+                wire_chunk = [job.to_wire() for job in chunk]
+                for wire_job, job in zip(wire_chunk, chunk):
+                    probe(wire_job, job)
+                if traced:
+                    obs.REGISTRY.inc(
+                        "sweep_ipc_bytes_shipped_total", len(pickle.dumps(wire_chunk))
+                    )
+                yield tag, wire_chunk
+
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_process_worker_init
+            ) as pool:
+                yield from _stream_pool(
+                    pool, wired(chunks), _process_runner(), on_chunk, max_pending
+                )
+        except BrokenProcessPool as error:
+            raise RuntimeError(
+                "the process-backend worker pool died unexpectedly (a worker was "
+                "killed — out-of-memory, a segfault in an extension, or an "
+                "interpreter crash); re-run with backend='serial' to reproduce "
+                "the failure in-process"
+            ) from error
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessBackend(n_jobs={self.n_jobs!r})"

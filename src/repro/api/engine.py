@@ -45,7 +45,6 @@ from .checkpoint import SweepCheckpoint, chunk_key
 from .registry import Solver, resolve_solvers, solver_names, spec_to_wire, wire_to_spec
 from .results import ResultSet, RunRecord, SpilledResultSet
 from .sharding import parse_shard
-from .shm import ShmHandle, ShmPlane, attach_payload
 
 __all__ = [
     "run_solvers_on_instance",
@@ -455,7 +454,7 @@ class SweepJob:
     form for a trip across a process boundary.
     """
 
-    payload: "Trace | Instance | ShmHandle"
+    payload: "Trace | Instance"
     solver_specs: tuple = ()
     capacity_factors: tuple[float, ...] | None = None
     validate: bool = True
@@ -469,28 +468,17 @@ class SweepJob:
 
     @property
     def label(self) -> str:
-        if isinstance(self.payload, ShmHandle):
-            return self.payload.label
         return self.payload.label if isinstance(self.payload, Trace) else self.payload.name
 
-    def to_wire(self, *, plane: "ShmPlane | None" = None) -> "SweepJob":
+    def to_wire(self) -> "SweepJob":
         """A copy whose solver specs are plain-data wire dicts.
 
         Raises a :class:`TypeError` naming the offending spec when one
         cannot be expressed by registered name + parameters (live solver
         instances, opaque closures) — the process backend calls this before
         any worker starts, so the error surfaces early and clearly.
-
-        With a ``plane`` (the process backend's opt-in shared-memory job
-        plane), the payload itself is replaced by a tiny
-        :class:`~repro.api.shm.ShmHandle`: the columns travel through a
-        shared segment published once per distinct payload, and the wire
-        job carries only the pointer.
         """
-        specs = tuple(spec_to_wire(s) for s in self.solver_specs)
-        if plane is not None and isinstance(self.payload, (Trace, Instance)):
-            return replace(self, solver_specs=specs, payload=plane.publish(self.payload))
-        return replace(self, solver_specs=specs)
+        return replace(self, solver_specs=tuple(spec_to_wire(s) for s in self.solver_specs))
 
     def run(self) -> list[RunRecord]:
         """Execute the job in the current process and return its records."""
@@ -504,18 +492,6 @@ class SweepJob:
             wire_to_spec(spec) if isinstance(spec, dict) else spec for spec in self.solver_specs
         )
         payload = self.payload
-        if isinstance(payload, ShmHandle):
-            payload, detach = attach_payload(payload)
-            try:
-                return self._run_payload(payload, specs)
-            finally:
-                # Drop the payload reference before detaching, so the
-                # segment's buffer has no exported views left to trip on.
-                del payload
-                detach()
-        return self._run_payload(payload, specs)
-
-    def _run_payload(self, payload: "Trace | Instance", specs: tuple) -> list[RunRecord]:
         if isinstance(payload, Trace):
             return _sweep_one_trace(
                 payload,

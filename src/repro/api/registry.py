@@ -74,8 +74,7 @@ class SolverRegistrationError(ValueError):
 class UnknownSolverError(KeyError):
     """A solver name/alias/category spec did not resolve.
 
-    Subclasses :class:`KeyError` so legacy callers catching ``KeyError``
-    (the pre-facade behaviour of ``get_heuristic``) keep working.
+    Subclasses :class:`KeyError`, so callers may catch either.
     """
 
     def __str__(self) -> str:  # KeyError would repr() the message

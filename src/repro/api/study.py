@@ -12,9 +12,8 @@ A :class:`Study` is the declarative face of the sweep engine::
     )
     results.aggregate("ratio_to_optimal", by=("capacity_factor", "heuristic"))
 
-It subsumes the legacy ``run_on_instance`` / ``sweep_trace`` /
-``sweep_ensemble`` trio: traces and ensembles sweep ``factor * mc``
-capacities, raw instances run at their own capacity.
+Traces and ensembles sweep ``factor * mc`` capacities, raw instances run
+at their own capacity.
 """
 
 from __future__ import annotations
@@ -240,7 +239,6 @@ class Study:
         *,
         backend: "str | ExecutionBackend | None" = None,
         chunk_size: int | None = None,
-        shm: bool | None = None,
     ) -> "Study":
         """Fan trace jobs out over ``n_jobs`` workers of an execution backend.
 
@@ -254,36 +252,13 @@ class Study:
         and the job count); jobs are sharded into chunks of ``chunk_size``
         (auto-sized when omitted) to amortize inter-process traffic.
 
-        ``shm=True`` ships payloads through the zero-copy shared-memory
-        job plane (:mod:`repro.api.shm`) instead of pickling them by value
-        — process backend only, implied when ``backend`` is omitted.  The
-        ``REPRO_SHM`` environment variable is the hands-off equivalent.
-
         Results are byte-identical to the sequential path, including their
-        order, whatever the backend, worker count, chunking or shm mode.
+        order, whatever the backend, worker count or chunking.
         ``parallel(1)`` switches back to sequential execution.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
         self._n_jobs = default_jobs() if n_jobs is None else int(n_jobs)
-        if shm is not None:
-            from .backends import ProcessBackend
-
-            if backend is None:
-                backend = ProcessBackend(self._n_jobs, shm=shm)
-            elif isinstance(backend, str) and backend.lower() in (
-                "processes",
-                "process",
-                "multiprocessing",
-            ):
-                backend = ProcessBackend(self._n_jobs, shm=shm)
-            elif isinstance(backend, ProcessBackend):
-                backend = ProcessBackend(backend.n_jobs, shm=shm)
-            else:
-                raise ValueError(
-                    "shm= applies to the process backend only; pass "
-                    "backend='processes' (or a ProcessBackend instance)"
-                )
         self._backend = backend
         self._chunk_size = chunk_size
         return self

@@ -17,10 +17,10 @@ The implementation follows the classical three phases:
 2. **Patching** — merge sub-tours with adjacent interchanges (in end-state
    order).  Interchanges are selected Kruskal-style by increasing marginal
    cost until a single tour remains.
-3. **Reconstruction** — apply the selected interchanges to the successor map.
-   Several application orders are tried (the classical rule splits interchanges
-   into two groups applied in opposite index orders); the realised tour with
-   the smallest no-wait makespan is returned.
+3. **Reconstruction** — apply the selected interchanges to the successor map
+   in the classical order: the interchanges are split into two groups, the
+   first applied by decreasing index and the second by increasing index.  The
+   realised tour costs exactly assignment + patching.
 
 A dummy job with zero times closes the tour, so the returned object is an open
 sequence starting right after the dummy — i.e. a task order usable by the
@@ -29,7 +29,6 @@ static-order executor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,11 +54,10 @@ class GilmoreGomoryResult:
     def lower_bound(self) -> float:
         """Assignment + patching cost plus total computation time.
 
-        The classical analysis guarantees an application order achieving this
-        value; the realised ``makespan`` may exceed it only if the heuristic
-        reconstruction picked a sub-optimal application order.
+        The classical application order realises this value, so it equals
+        ``makespan`` up to floating-point rounding.
         """
-        return self.assignment_cost + self.patching_cost
+        return self.assignment_cost + self.patching_cost + sum(t.comp for t in self.order)
 
 
 class _DisjointSet:
@@ -196,52 +194,24 @@ def gilmore_gomory_order(tasks: Iterable[Task]) -> GilmoreGomoryResult:
                 break
 
     # ------------------------------------------------------------------ #
-    # Phase 3: reconstruction.  The classical rule applies one group of
-    # interchanges by decreasing index and the other by increasing index; we
-    # try the natural candidate orders and keep the best realised tour (each
-    # candidate is guaranteed to be a single Hamiltonian tour because every
-    # selected interchange merges two distinct sub-tours).
+    # Phase 3: reconstruction with the classical application rule.  Group 1
+    # holds the interchanges whose position's successor starts no earlier
+    # than the position ends (comm >= comp); they are applied by decreasing
+    # index, then group 2 by increasing index.  Every selected interchange
+    # merges two distinct sub-tours, so the result is a single tour.
     # ------------------------------------------------------------------ #
-    selected.sort()
-    orders_to_try: list[list[int]] = []
-    if selected:
-        increasing = list(range(len(selected)))
-        decreasing = increasing[::-1]
-        group_up = [idx for idx, k in enumerate(selected) if jobs[successor[positions[k]]].comm >= jobs[positions[k]].comp]
-        group_down = [idx for idx in increasing if idx not in group_up]
-        classical = sorted(group_up, key=lambda idx: -selected[idx]) + sorted(
-            group_down, key=lambda idx: selected[idx]
-        )
-        reversed_classical = classical[::-1]
-        orders_to_try = [classical, reversed_classical, increasing, decreasing]
-        if len(selected) <= 7:
-            orders_to_try.extend(list(p) for p in itertools.permutations(increasing))
-    else:
-        orders_to_try = [[]]
-
-    best_order: tuple[Task, ...] | None = None
-    best_makespan = float("inf")
-    dummy_index = 0
-    seen_signatures: set[tuple[int, ...]] = set()
-    for application in orders_to_try:
-        signature = tuple(application)
-        if signature in seen_signatures:
-            continue
-        seen_signatures.add(signature)
-        patched = _apply_interchanges(successor, positions, [selected[idx] for idx in application])
-        if len(_cycles_of(patched)) != 1:
-            continue
-        tour_indices = _tour_from_successors(patched, dummy_index)
-        order = tuple(jobs[i] for i in tour_indices)
-        makespan = nowait_makespan(order)
-        if makespan < best_makespan - 1e-12:
-            best_makespan = makespan
-            best_order = order
-
-    assert best_order is not None, "patched assignment should always contain a single tour"
+    group_up: list[int] = []
+    group_down: list[int] = []
+    for k in sorted(selected):
+        i = positions[k]
+        (group_up if jobs[successor[i]].comm >= jobs[i].comp else group_down).append(k)
+    patched = _apply_interchanges(successor, positions, group_up[::-1] + group_down)
+    if len(_cycles_of(patched)) != 1:
+        raise RuntimeError("Gilmore-Gomory patching did not produce a single tour")
+    order = tuple(jobs[i] for i in _tour_from_successors(patched, 0))
     return GilmoreGomoryResult(
-        order=best_order,
-        makespan=best_makespan,
+        order=order,
+        makespan=nowait_makespan(order),
         assignment_cost=assignment_cost,
         patching_cost=patching_cost,
     )

@@ -38,8 +38,11 @@ def chrome_trace_events(spans: Iterable[dict]) -> list[dict]:
     Spans are grouped per ``(pid, tid)`` track and re-assembled into the
     parent/child forest recorded by the tracer, so begin/end pairs nest
     properly and timestamps are monotone per track even when concurrent
-    asyncio tasks interleaved on one thread.  Timestamps are microseconds
-    relative to the earliest span.
+    asyncio tasks interleaved on one thread.  A span lying inside an
+    earlier sibling's interval (pre-timed :func:`~repro.obs.record_span`
+    siblings) is nested under that sibling rather than clipped to zero
+    length after it.  Timestamps are microseconds relative to the earliest
+    span.
     """
     spans = [s for s in spans if s.get("dur", 0.0) >= 0.0]
     if not spans:
@@ -50,17 +53,33 @@ def chrome_trace_events(spans: Iterable[dict]) -> list[dict]:
     for s in spans:
         groups.setdefault((s.get("pid", 0), s.get("tid", 0)), []).append(s)
     for (pid, tid), group in sorted(groups.items()):
-        ids = {s["id"] for s in group if s.get("id")}
+        by_id = {s["id"]: s for s in group if s.get("id")}
+        # Keyed by the record's identity: containment nesting also adopts
+        # spans under siblings.
         children: dict[int, list[dict]] = {}
         roots: list[dict] = []
-        ordered = sorted(group, key=lambda s: (s["ts"], -(s["ts"] + s["dur"])))
-        for s in ordered:
-            parent = s.get("parent")
-            if parent is not None and parent in ids and parent != s.get("id"):
-                children.setdefault(parent, []).append(s)
+        for s in group:
+            parent = by_id.get(s.get("parent"))
+            if parent is not None and parent is not s:
+                children.setdefault(id(parent), []).append(s)
             else:
                 roots.append(s)
         cursor = 0.0  # monotone per-track clamp, in µs
+
+        def nest(siblings: list[dict]) -> list[dict]:
+            """Move each sibling inside the earlier sibling containing it."""
+            top: list[dict] = []
+            enclosing: list[dict] = []
+            for s in sorted(siblings, key=lambda s: (s["ts"], -(s["ts"] + s["dur"]))):
+                end = s["ts"] + s["dur"]
+                while enclosing and enclosing[-1]["ts"] + enclosing[-1]["dur"] < end:
+                    enclosing.pop()
+                if enclosing:
+                    children.setdefault(id(enclosing[-1]), []).append(s)
+                else:
+                    top.append(s)
+                enclosing.append(s)
+            return top
 
         def emit(s: dict, lo: float, hi: float) -> None:
             nonlocal cursor
@@ -79,7 +98,7 @@ def chrome_trace_events(spans: Iterable[dict]) -> list[dict]:
             if s.get("args"):
                 begin["args"] = s["args"]
             events.append(begin)
-            for child in children.get(s.get("id"), []):
+            for child in nest(children.get(id(s), [])):
                 emit(child, start, end)
             end_ts = max((end - t0) * 1e6, cursor)
             cursor = end_ts
@@ -87,7 +106,7 @@ def chrome_trace_events(spans: Iterable[dict]) -> list[dict]:
                 {"name": s["name"], "ph": "E", "ts": round(end_ts, 3), "pid": pid, "tid": tid}
             )
 
-        for root in roots:
+        for root in nest(roots):
             emit(root, root["ts"], root["ts"] + root["dur"])
     return events
 

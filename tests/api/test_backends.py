@@ -34,7 +34,8 @@ from repro.api.backends import auto_chunk_size
 from repro.api.engine import default_jobs
 from repro.heuristics.dynamic import LargestCommunicationFirst
 from repro.simulator.arrivals import PoissonArrivals
-from repro.traces.generator import synthetic_ensemble
+from repro.traces.generator import synthetic_ensemble, synthetic_trace
+from repro.traces.model import Trace
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +341,26 @@ class TestWorkerFailures:
         )
         with pytest.raises(TypeError, match="process boundary"):
             study.parallel(2, backend="processes").run()
+
+
+class _UnpicklableTrace(Trace):
+    """A distinct payload type whose metadata cannot be pickled."""
+
+
+def test_probe_catches_unpicklable_payload_types_beyond_the_first_job():
+    good = synthetic_trace("balanced", tasks=10, seed=1)
+    evil = _UnpicklableTrace(
+        application="evil",
+        process=1,
+        tasks=list(good.tasks),
+        metadata={"closure": lambda: None},  # type: ignore[dict-item]
+    )
+    jobs = [
+        SweepJob(payload=good, solver_specs=("OS",), capacity_factors=(1.0,)),
+        SweepJob(payload=evil, solver_specs=("OS",), capacity_factors=(1.0,)),
+    ]
+    with pytest.raises(TypeError, match="evil/p001.*cannot be pickled"):
+        ProcessBackend(2).run(jobs)
 
 
 # --------------------------------------------------------------------- #

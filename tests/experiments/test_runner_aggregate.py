@@ -1,16 +1,14 @@
-"""Tests for the experiment runner and aggregation layer."""
+"""Tests for the sweep runner and the aggregation layer."""
 
 import pytest
 
+from repro.api import Study, paper_lineup, run_solvers_on_instance
 from repro.experiments import (
     best_variant_per_category,
     best_variant_series,
     group_by_capacity_and_heuristic,
-    run_on_instance,
     summaries_by_capacity,
-    sweep_trace,
 )
-from repro.heuristics import paper_figure_lineup
 from repro.traces import synthetic_trace
 
 
@@ -21,15 +19,15 @@ def small_trace():
 
 @pytest.fixture(scope="module")
 def records(small_trace):
-    return sweep_trace(small_trace, capacity_factors=(1.0, 2.0))
+    return Study().traces(small_trace).capacities(1.0, 2.0).run().to_records()
 
 
 class TestRunner:
     def test_run_on_instance_produces_one_record_per_heuristic(self, small_trace):
         instance = small_trace.to_instance_with_factor(1.5)
-        records = run_on_instance(instance, paper_figure_lineup(), capacity_factor=1.5)
+        records = run_solvers_on_instance(instance, paper_lineup(), capacity_factor=1.5)
         assert len(records) == 14
-        assert {r.heuristic for r in records} == set(h.name for h in paper_figure_lineup())
+        assert {r.heuristic for r in records} == set(h.name for h in paper_lineup())
         assert all(r.ratio_to_optimal >= 1.0 - 1e-9 for r in records)
         assert all(r.capacity_factor == 1.5 for r in records)
 
@@ -48,26 +46,13 @@ class TestRunner:
         assert sum(deltas) >= -1e-9
 
     def test_task_limit(self, small_trace):
-        limited = sweep_trace(
-            small_trace,
-            capacity_factors=(1.0,),
-            heuristics=paper_figure_lineup(["OS"]),
-            task_limit=10,
-        )
-        assert limited[0].task_count == 10
+        limited = Study().traces(small_trace).capacities(1.0).solvers("OS").task_limit(10).run()
+        assert limited.to_records()[0].task_count == 10
 
     def test_batched_mode(self, small_trace):
-        records = sweep_trace(
-            small_trace,
-            capacity_factors=(1.5,),
-            heuristics=paper_figure_lineup(["OS", "OOSIM"]),
-            batch_size=15,
-        )
-        plain = sweep_trace(
-            small_trace,
-            capacity_factors=(1.5,),
-            heuristics=paper_figure_lineup(["OS", "OOSIM"]),
-        )
+        study = Study().traces(small_trace).capacities(1.5).solvers("OS", "OOSIM")
+        plain = study.run().to_records()
+        records = study.batched(15).run().to_records()
         # Batched execution is still validated against the memory constraint and
         # normalised by the same (full-trace) OMIM reference.
         assert len(records) == len(plain) == 2

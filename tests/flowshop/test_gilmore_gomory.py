@@ -30,8 +30,10 @@ class TestStructure:
         tasks = tasks_from_pairs([(3, 2), (1, 4), (5, 5), (2, 1), (4, 3), (2, 2)])
         result = gilmore_gomory_order(tasks)
         total_comp = sum(t.comp for t in tasks)
-        assert result.assignment_cost + result.patching_cost + total_comp >= total_comp
-        assert result.makespan + 1e-9 >= result.assignment_cost + total_comp
+        assert result.lower_bound == pytest.approx(
+            result.assignment_cost + result.patching_cost + total_comp
+        )
+        assert result.lower_bound <= result.makespan + 1e-9
 
 
 class TestOptimality:
@@ -70,10 +72,15 @@ class TestOptimality:
     def test_larger_random_instance_close_to_lower_bound(self):
         rng = np.random.default_rng(3)
         pairs = [(float(a), float(b)) for a, b in rng.uniform(0, 10, size=(40, 2))]
-        tasks = tasks_from_pairs(pairs)
-        result = gilmore_gomory_order(tasks)
-        total_comp = sum(t.comp for t in tasks)
-        theoretical = result.assignment_cost + result.patching_cost + total_comp
-        # The reconstruction heuristic should realise (or come very close to)
-        # the theoretical patched-assignment cost.
-        assert result.makespan <= theoretical * 1.05 + 1e-9
+        result = gilmore_gomory_order(tasks_from_pairs(pairs))
+        assert result.makespan == pytest.approx(result.lower_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [2, 10, 100, 1000])
+    def test_classical_order_realises_the_lower_bound(self, seed, size):
+        # The classical application order realises assignment + patching +
+        # total computation time exactly: the optimal no-wait makespan.
+        rng = np.random.default_rng(seed)
+        pairs = [(float(a), float(b)) for a, b in rng.uniform(0, 10, size=(size, 2))]
+        result = gilmore_gomory_order(tasks_from_pairs(pairs))
+        assert result.makespan == pytest.approx(result.lower_bound, rel=1e-12)

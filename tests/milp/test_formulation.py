@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import paper_lineup
 from repro.core import Instance, Task, omim, tasks_from_pairs, validate_schedule
 from repro.core.paper_instances import proposition1_instance, static_example_instance
 from repro.flowshop import best_schedule_allowing_reordering
-from repro.heuristics import all_heuristics
 from repro.milp import solve_exact
 
 
@@ -38,7 +38,7 @@ class TestExactSolves:
         instance = static_example_instance()
         result = solve_exact(instance, time_limit=60)
         best_heuristic = min(
-            h.schedule(instance).makespan for h in all_heuristics().values()
+            h.schedule(instance).makespan for h in paper_lineup()
         )
         assert result.makespan <= best_heuristic + 1e-6
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,31 @@ class TestChromeTrace:
         ]
         info = validate_chrome_trace(chrome_trace(spans))
         assert info["spans"] == 2
+
+    def test_contained_pre_timed_sibling_nests_instead_of_collapsing(self):
+        # Two record_span siblings where the later-recorded one lies inside
+        # the earlier one's interval: it must nest, not clip to zero length.
+        obs.enable()
+        marker = obs.mark()
+        with obs.span("job"):
+            batch_start = obs.now()
+            scan_start = obs.now()
+            time.sleep(0.002)
+            scan_end = obs.now()
+            obs.record_span("batch", batch_start, obs.now())
+            obs.record_span("scan", scan_start, scan_end)
+        events = [e for e in chrome_trace_events(obs.export_since(marker)) if e["name"] != "job"]
+        assert [(e["name"], e["ph"]) for e in events] == [
+            ("batch", "B"),
+            ("scan", "B"),
+            ("scan", "E"),
+            ("batch", "E"),
+        ]
+        begin, end = (e["ts"] for e in events if e["name"] == "scan")
+        assert end - begin == pytest.approx((scan_end - scan_start) * 1e6, abs=1e-2)
+        assert end - begin > 0
+        info = validate_chrome_trace(chrome_trace(obs.export_since(marker)))
+        assert info["max_depth"] == 3
 
     def test_multi_pid_tracks(self):
         spans = [

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import get_solver
 from repro.core import Schedule
-from repro.heuristics import get_heuristic
 from repro.core.paper_instances import static_example_instance
 from repro.viz import GanttOptions, render_gantt
 
@@ -13,7 +13,7 @@ class TestRenderGantt:
         assert render_gantt(Schedule.empty()) == "(empty schedule)"
 
     def test_renders_lanes_and_ticks(self):
-        schedule = get_heuristic("DOCPS").schedule(static_example_instance())
+        schedule = get_solver("DOCPS").schedule(static_example_instance())
         text = render_gantt(schedule)
         assert "communication" in text
         assert "computation" in text
@@ -22,12 +22,12 @@ class TestRenderGantt:
         assert "14" in text  # the makespan of the DOCPS schedule
 
     def test_memory_lane_optional(self):
-        schedule = get_heuristic("DOCPS").schedule(static_example_instance())
+        schedule = get_solver("DOCPS").schedule(static_example_instance())
         text = render_gantt(schedule, options=GanttOptions(show_memory=False))
         assert "peak memory" not in text
 
     def test_width_is_respected(self):
-        schedule = get_heuristic("OOSIM").schedule(static_example_instance())
+        schedule = get_solver("OOSIM").schedule(static_example_instance())
         options = GanttOptions(width=60)
         text = render_gantt(schedule, options=options)
         assert max(len(line) for line in text.splitlines()) <= 60 + 20  # ticks line may be longer
