@@ -325,6 +325,14 @@ class TestWorkerFailures:
             study.parallel(2, backend=backend, chunk_size=1).run()
         assert not isinstance(excinfo.value, SweepJobError)
 
+    def test_infeasible_capacity_in_worker_raises_sweep_job_error(self):
+        # Capacity factor 0.5 is below every task's footprint, so the
+        # engine itself (not a solver) fails inside each worker.
+        trace = synthetic_trace("balanced", tasks=30, seed=2)
+        study = Study().traces(trace).capacities(0.5).solvers("OS")
+        with pytest.raises(SweepJobError, match=trace.label):
+            study.parallel(2, backend="processes").run()
+
     def test_bad_chunk_size_is_rejected_early(self, ensemble):
         with pytest.raises(ValueError, match="chunk_size"):
             Study().parallel(2, chunk_size=0)

@@ -1,6 +1,10 @@
 """Tests for the paper heuristics in the solver registry and Table 6 metadata."""
 
+import importlib
+
 import pytest
+
+import repro
 
 from repro.api import (
     UnknownSolverError,
@@ -10,6 +14,14 @@ from repro.api import (
     resolve_solvers,
 )
 from repro.heuristics import PAPER_FIGURE_ORDER, TABLE6_HEURISTICS, Category
+
+
+@pytest.mark.parametrize("module", ["repro.heuristics.registry", "repro.experiments.runner"])
+def test_removed_1_1_modules_no_longer_import(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+    assert not hasattr(repro, "all_heuristics")
+    assert not hasattr(repro, "get_heuristic")
 
 
 class TestRegistry:
