@@ -135,12 +135,13 @@ def run_solvers_on_instance(
     (``pipelined=True`` drops the drain barrier between windows); instances
     whose tasks carry release dates run on the streaming runtime and fill
     the online measurement columns.  ``machine`` selects a custom machine
-    model (kernel-backed solvers only).  Kernel-backed solvers run with
-    event recording on, so the metrics are read from the structured trace
-    instead of re-derived from the schedule — unless ``engine`` requests
-    an array-native fast path (``"auto"``/``"columnar"``/``"batched"``),
-    which does not record events: recording is dropped there so the fast
-    path can engage, and the metrics are derived from the schedule instead.
+    model (kernel-backed solvers only).  ``engine`` selects the kernel
+    engine.  With ``engine`` left at ``None`` (or ``"object"``), kernel-backed
+    solvers run on the object kernel with event recording on, and the
+    ``engine`` column reads ``"object"``; ``"auto"``/``"columnar"``/
+    ``"batched"`` (explicit or through ``REPRO_ENGINE``) record no events so
+    the fast paths can engage.  The metrics do not depend on this choice:
+    they are always derived from the schedule.
 
     ``precomputed`` maps solver indices to simulation outcomes computed
     ahead of this call (the sweep's cross-instance batch plane); captured
@@ -152,9 +153,7 @@ def run_solvers_on_instance(
     online = instance.has_releases
     extra = {} if engine is None else {"engine": engine}
     # The REPRO_ENGINE override must be able to force a whole sweep onto the
-    # columnar path, so the recording decision looks at the *resolved* engine:
-    # a "columnar"/"batched" resolution (explicit or via the environment)
-    # drops event recording, exactly like an explicit fast-path request.
+    # columnar path, so the recording decision looks at the *resolved* engine.
     wants_object = engine in (None, "object") and resolve_engine(engine) not in (
         "columnar",
         "batched",
@@ -162,52 +161,35 @@ def run_solvers_on_instance(
     traced = obs.is_enabled()
     records = []
     for index, solver in enumerate(solvers):
-        trace = None
-        ran_engine = ""
-        stats = None
-        runs_on_kernel = bool(getattr(solver, "runs_on_kernel", False))
-        record = runs_on_kernel and wants_object
-        outcome_ready = precomputed.get(index) if precomputed is not None else None
-        if outcome_ready is not None:
-            if isinstance(outcome_ready, BaseException):
-                raise outcome_ready
-            result = outcome_ready
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
-        elif batch_size is not None:
+        result = precomputed.get(index) if precomputed is not None else None
+        if isinstance(result, BaseException):
+            raise result
+        if result is None and (batch_size is not None or hasattr(solver, "simulate")):
+            record = wants_object and bool(getattr(solver, "runs_on_kernel", False))
             with obs.span("solver.run", solver=solver.name) if traced else obs.NOOP_SPAN:
-                result = simulate_in_batches(
-                    instance,
-                    solver,
-                    batch_size=batch_size,
-                    pipelined=pipelined,
-                    machine=machine,
-                    record=record,
-                    engine=engine,
-                )
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
-        elif hasattr(solver, "simulate"):
-            with obs.span("solver.run", solver=solver.name) if traced else obs.NOOP_SPAN:
-                result = solver.simulate(
-                    instance, machine=machine, record=record, **extra
-                )
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
+                if batch_size is None:
+                    result = solver.simulate(instance, machine=machine, record=record, **extra)
+                else:
+                    result = simulate_in_batches(
+                        instance,
+                        solver,
+                        batch_size=batch_size,
+                        pipelined=pipelined,
+                        machine=machine,
+                        record=record,
+                        engine=engine,
+                    )
+        elif result is None and machine is not None:
+            raise ValueError(f"solver {solver.name!r} does not run on the simulation kernel")
+        if result is None:
+            schedule, ran_engine, stats = solver.schedule(instance), "", None
         else:
-            if machine is not None:
-                raise ValueError(
-                    f"solver {solver.name!r} does not run on the simulation kernel"
-                )
-            schedule = solver.schedule(instance)
+            schedule = result.schedule
+            ran_engine = getattr(result, "engine", "")
+            stats = getattr(result, "stats", None)
         if validate:
             check_schedule(schedule, instance, machine=machine)
-        metrics = evaluate(
-            schedule, instance, heuristic=solver.name, reference=reference, trace=trace
-        )
+        metrics = evaluate(schedule, instance, heuristic=solver.name, reference=reference)
         online_metrics = evaluate_online(schedule) if online else None
         # Batched execution runs the solver once per window, so last_outcome
         # only describes the final batch — leave the attribution columns

@@ -217,9 +217,7 @@ def solve(
     if validate:
         check_schedule(schedule, instance, machine=machine)
     reference = omim_makespan(instance) if reference is None else reference
-    metrics = evaluate(
-        schedule, instance, heuristic=solver.name, reference=reference, trace=trace
-    )
+    metrics = evaluate(schedule, instance, heuristic=solver.name, reference=reference)
     online = evaluate_online(schedule) if instance.has_releases else None
     # Batched runs invoke the solver once per window; last_outcome would
     # describe only the final batch, so no attribution is reported there.

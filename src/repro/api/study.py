@@ -218,10 +218,11 @@ class Study:
         unsupported); ``"batched"`` requests the cross-instance plane
         (lanes that cannot batch fall back per instance); ``"object"``
         forces the event kernel.  The engine each run actually used is
-        recorded in the ``engine`` result column.  Note the trade-off: the
-        default (never calling this) records structured event traces for
-        kernel solvers, while ``"auto"``/``"columnar"``/``"batched"``
-        sweeps skip event recording so the fast paths can engage.
+        recorded in the ``engine`` result column.  The default (never
+        calling this) still lets the batched plane engage, but runs the
+        remaining kernel solvers on the object kernel with event recording
+        on; ``"auto"``/``"columnar"``/``"batched"`` sweeps record no events
+        so the fast paths can engage.  The metrics are the same either way.
         """
         from ..simulator.columnar import ENGINE_CHOICES
 

@@ -12,7 +12,8 @@ heuristic achieves (near-)maximal communication/computation overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .bounds import omim as _omim
@@ -59,10 +60,8 @@ def idle_fractions(schedule: Schedule) -> tuple[float, float]:
     makespan = schedule.makespan
     if makespan == 0:
         return (0.0, 0.0)
-    return (
-        schedule.communication_idle_time() / makespan,
-        schedule.computation_idle_time() / makespan,
-    )
+    comm_covered, comp_covered, _ = schedule.coverage()
+    return ((makespan - comm_covered) / makespan, (makespan - comp_covered) / makespan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +131,15 @@ def evaluate_online(schedule: Schedule) -> OnlineMetrics:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ScheduleMetrics:
-    """All per-schedule metrics reported by the experiment harness."""
+    """All per-schedule metrics reported by the experiment harness.
+
+    Makespan, OMIM and the ratio are set on construction.  Peak memory,
+    overlap and idle times only explain the makespan, so they are derived
+    from ``schedule`` when first read, at most once (one timeline sweep
+    serves the overlap and both idle times).
+    """
 
     heuristic: str
     instance: str
@@ -142,11 +147,28 @@ class ScheduleMetrics:
     makespan: float
     omim: float
     ratio_to_optimal: float
-    peak_memory: float
-    overlap_time: float
-    communication_idle: float
-    computation_idle: float
     task_count: int
+    schedule: Schedule = field(repr=False, compare=False)
+
+    @cached_property
+    def peak_memory(self) -> float:
+        return self.schedule.peak_memory()
+
+    @cached_property
+    def _coverage(self) -> tuple[float, float, float]:
+        return self.schedule.coverage()
+
+    @property
+    def overlap_time(self) -> float:
+        return self._coverage[2]
+
+    @property
+    def communication_idle(self) -> float:
+        return self.makespan - self._coverage[0]
+
+    @property
+    def computation_idle(self) -> float:
+        return self.makespan - self._coverage[1]
 
     @property
     def overlap_fraction(self) -> float:
@@ -165,23 +187,14 @@ def evaluate(
 ) -> ScheduleMetrics:
     """Bundle every metric for one (heuristic, instance) run.
 
-    When the kernel's structured event ``trace`` is available, the overlap,
-    idle and peak-memory accounting is read from it directly (O(n log n))
-    instead of being re-derived from the finished schedule (the
-    schedule-based overlap computation is quadratic in the task count).
+    Everything is read from ``schedule``; the peak-memory, overlap and idle
+    metrics are computed on first access (see :class:`ScheduleMetrics`).
+    ``trace`` is accepted for callers that hold the kernel's event trace and
+    does not change any value: the trace's own views use the same timeline
+    sweep as the schedule.
     """
     ref = _omim(instance) if reference is None else reference
     makespan = schedule.makespan
-    if trace is not None:
-        peak_memory = trace.peak_memory()
-        overlap_time = trace.overlap_time()
-        communication_idle = trace.idle_time("communication")
-        computation_idle = trace.idle_time("computation")
-    else:
-        peak_memory = schedule.peak_memory()
-        overlap_time = schedule.overlap_time()
-        communication_idle = schedule.communication_idle_time()
-        computation_idle = schedule.computation_idle_time()
     return ScheduleMetrics(
         heuristic=heuristic,
         instance=instance.name,
@@ -189,9 +202,6 @@ def evaluate(
         makespan=makespan,
         omim=ref,
         ratio_to_optimal=(makespan / ref) if ref > 0 else (1.0 if makespan == 0 else math.inf),
-        peak_memory=peak_memory,
-        overlap_time=overlap_time,
-        communication_idle=communication_idle,
-        computation_idle=computation_idle,
         task_count=len(schedule),
+        schedule=schedule,
     )

@@ -14,13 +14,12 @@ makespan, idle times, memory profile and Gantt-chart information.  Validation
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .task import Task
 
-__all__ = ["ScheduledTask", "Schedule", "MemoryEvent"]
+__all__ = ["ScheduledTask", "Schedule", "MemoryEvent", "busy_and_overlap", "memory_steps"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +73,77 @@ class MemoryEvent:
 
     time: float
     usage: float
+
+
+def busy_and_overlap(
+    comm: Iterable[tuple[float, float]], comp: Iterable[tuple[float, float]]
+) -> tuple[float, float, float]:
+    """``(communication covered, computation covered, overlap)`` of two timelines.
+
+    ``comm``/``comp`` are ``(start, end)`` busy intervals, which may overlap
+    (parallel links or processors).  One walk over the sorted breakpoints
+    keeps a busy count per resource and adds each segment's ``right - left``
+    to the totals in breakpoint order; idle time is ``makespan - covered``.
+    A segment takes the state at its rounded midpoint: the state at ``left``,
+    or at ``right`` on a one-ulp segment whose midpoint rounds up to it.
+    """
+    comm_delta: dict[float, int] = {}
+    comp_delta: dict[float, int] = {}
+    for deltas, intervals in ((comm_delta, comm), (comp_delta, comp)):
+        for start, end in intervals:
+            deltas[start] = deltas.get(start, 0) + 1
+            deltas[end] = deltas.get(end, 0) - 1
+    points = sorted(comm_delta.keys() | comp_delta.keys())
+    comm_count = comp_count = 0
+    comm_covered = comp_covered = overlap = 0.0
+    for left, right in zip(points, points[1:]):
+        comm_count += comm_delta.get(left, 0)
+        comp_count += comp_delta.get(left, 0)
+        comm_busy, comp_busy = comm_count, comp_count
+        if 0.5 * (left + right) == right:
+            comm_busy += comm_delta.get(right, 0)
+            comp_busy += comp_delta.get(right, 0)
+        if comm_busy:
+            comm_covered += right - left
+            if comp_busy:
+                overlap += right - left
+        if comp_busy:
+            comp_covered += right - left
+    return comm_covered, comp_covered, overlap
+
+
+def memory_steps(changes: Iterable[tuple[float, float]]) -> list[MemoryEvent]:
+    """Piecewise-constant memory occupation from ``(time, delta)`` changes.
+
+    Returns a list of :class:`MemoryEvent` such that the usage between
+    ``events[i].time`` and ``events[i+1].time`` equals ``events[i].usage``.
+    Breakpoints closer than a small tolerance are merged, so that
+    floating-point noise from numerical solvers does not create spurious
+    zero-length usage spikes.
+    """
+    deltas: dict[float, float] = {}
+    for time, delta in changes:
+        deltas[time] = deltas.get(time, 0.0) + delta
+    if not deltas:
+        return []
+    horizon = max(abs(t) for t in deltas)
+    # The executors treat a release due within 1e-9 of an instant as
+    # already free, so a transfer may start up to 1e-9 (plus float
+    # representation error, bounded by 1e-12 * horizon) before the
+    # releasing computation ends; breakpoints that close are one instant.
+    merge_tolerance = 1e-9 + 1e-12 * horizon
+    usage = 0.0
+    events: list[MemoryEvent] = []
+    for time in sorted(deltas):
+        usage += deltas[time]
+        # Clamp tiny negative rounding residue.
+        if -1e-9 < usage < 0:
+            usage = 0.0
+        if events and time - events[-1].time <= merge_tolerance:
+            events[-1] = MemoryEvent(time=events[-1].time, usage=usage)
+        else:
+            events.append(MemoryEvent(time=time, usage=usage))
+    return events
 
 
 class Schedule:
@@ -176,70 +246,38 @@ class Schedule:
     def computation_busy_time(self) -> float:
         return sum(e.task.comp for e in self._entries)
 
+    def coverage(self) -> tuple[float, float, float]:
+        """``(communication covered, computation covered, overlap)``; see
+        :func:`busy_and_overlap`."""
+        return busy_and_overlap(
+            ((e.comm_start, e.comm_end) for e in self._entries),
+            ((e.comp_start, e.comp_end) for e in self._entries),
+        )
+
     def communication_idle_time(self) -> float:
-        """Idle time on the link within ``[0, makespan]``."""
-        return self.makespan - self.communication_busy_time
+        """Idle time on the link(s) within ``[0, makespan]``."""
+        return self.makespan - self.coverage()[0]
 
     def computation_idle_time(self) -> float:
-        """Idle time on the processing unit within ``[0, makespan]``."""
-        return self.makespan - self.computation_busy_time
+        """Idle time on the processing unit(s) within ``[0, makespan]``."""
+        return self.makespan - self.coverage()[1]
 
     def overlap_time(self) -> float:
         """Total time during which the link and the processor are both busy."""
-        if not self._entries:
-            return 0.0
-        points = sorted(
-            {e.comm_start for e in self._entries}
-            | {e.comm_end for e in self._entries}
-            | {e.comp_start for e in self._entries}
-            | {e.comp_end for e in self._entries}
-        )
-        overlap = 0.0
-        for left, right in zip(points, points[1:]):
-            mid = 0.5 * (left + right)
-            comm_busy = any(e.comm_start <= mid < e.comm_end for e in self._entries)
-            comp_busy = any(e.comp_start <= mid < e.comp_end for e in self._entries)
-            if comm_busy and comp_busy:
-                overlap += right - left
-        return overlap
+        return self.coverage()[2]
 
     # ------------------------------------------------------------------ #
     # Memory profile
     # ------------------------------------------------------------------ #
     def memory_profile(self) -> list[MemoryEvent]:
-        """Piecewise-constant memory occupation sampled at every breakpoint.
-
-        Returns a list of :class:`MemoryEvent` such that the usage between
-        ``events[i].time`` and ``events[i+1].time`` equals ``events[i].usage``.
-        Breakpoints closer than a small tolerance are merged, so that
-        floating-point noise from numerical solvers does not create spurious
-        zero-length usage spikes.
-        """
-        if not self._entries:
-            return []
-        deltas: dict[float, float] = {}
-        for e in self._entries:
-            start, end = e.memory_interval
-            deltas[start] = deltas.get(start, 0.0) + e.task.memory
-            deltas[end] = deltas.get(end, 0.0) - e.task.memory
-        horizon = max(abs(t) for t in deltas)
-        # The executors treat a release due within 1e-9 of an instant as
-        # already free, so a transfer may start up to 1e-9 (plus float
-        # representation error, bounded by 1e-12 * horizon) before the
-        # releasing computation ends; breakpoints that close are one instant.
-        merge_tolerance = 1e-9 + 1e-12 * horizon
-        usage = 0.0
-        events: list[MemoryEvent] = []
-        for time in sorted(deltas):
-            usage += deltas[time]
-            # Clamp tiny negative rounding residue.
-            if -1e-9 < usage < 0:
-                usage = 0.0
-            if events and time - events[-1].time <= merge_tolerance:
-                events[-1] = MemoryEvent(time=events[-1].time, usage=usage)
-            else:
-                events.append(MemoryEvent(time=time, usage=usage))
-        return events
+        """Piecewise-constant memory occupation sampled at every breakpoint
+        (see :func:`memory_steps`); a task holds its memory over
+        ``[comm_start, comp_end)``."""
+        return memory_steps(
+            change
+            for e in self._entries
+            for change in ((e.comm_start, e.task.memory), (e.comp_end, -e.task.memory))
+        )
 
     def peak_memory(self) -> float:
         """Largest simultaneous memory occupation over the whole schedule."""

@@ -8,6 +8,9 @@ kept verbatim (holder re-sum and all, O(n²) per schedule) so that
 * ``benchmarks/bench_engine_scaling.py`` can measure the kernel's speedup
   against the seed code path.
 
+:func:`reference_overlap_time` is the seed's O(n²) overlap scan, the oracle
+for the timeline sweep that replaced it.
+
 Do not use these in production code paths and do not "fix" them: their
 value is being exactly the seed semantics.
 """
@@ -30,6 +33,7 @@ __all__ = [
     "reference_execute_two_orders",
     "reference_execute_with_policy",
     "ReferenceCorrectedOrderPolicy",
+    "reference_overlap_time",
 ]
 
 
@@ -219,3 +223,24 @@ def reference_execute_with_policy(instance: Instance, policy) -> Schedule:
         time = max(time, comm_available)
 
     return Schedule(entries)
+
+
+def reference_overlap_time(schedule: Schedule) -> float:
+    """Total time during which the link and the processor are both busy."""
+    entries = schedule.entries
+    if not entries:
+        return 0.0
+    points = sorted(
+        {e.comm_start for e in entries}
+        | {e.comm_end for e in entries}
+        | {e.comp_start for e in entries}
+        | {e.comp_end for e in entries}
+    )
+    overlap = 0.0
+    for left, right in zip(points, points[1:]):
+        mid = 0.5 * (left + right)
+        comm_busy = any(e.comm_start <= mid < e.comm_end for e in entries)
+        comp_busy = any(e.comp_start <= mid < e.comp_end for e in entries)
+        if comm_busy and comp_busy:
+            overlap += right - left
+    return overlap

@@ -146,7 +146,7 @@ def _simulate_barrier(
         if batch_stats is not None:
             stats = batch_stats if stats is None else stats.merge(batch_stats)
         if record:
-            traces.append(result.trace.shifted(offset))
+            traces.append(result.trace.shifted(offset, batch.tasks))
         offset += result.schedule.makespan
     if not engines:
         merged_engine = ""

@@ -8,7 +8,7 @@ Architecture (kernel → policies → facade)::
                     └── engine.simulate()   ← this module: the only event loop
                           ├── MemoryLedger  incremental O(log n) memory account
                           ├── ResourceModel link/processor timelines (pluggable)
-                          └── EventTrace    structured journal for viz/metrics
+                          └── EventTrace    structured journal for viz and the event log
 
 The kernel advances a single clock over transfer decisions: at each decision
 point the link is (about to be) free, the policy picks the next task, the

@@ -1,12 +1,12 @@
 """Structured event traces emitted by the simulation kernel.
 
 A :class:`EventTrace` is the kernel's journal of one run: transfer start/end,
-computation start/end and memory acquire/release events in time order.
-Downstream consumers — the Gantt renderer, the metrics module's idle/overlap
-accounting, the sweep engine — read the trace instead of re-deriving
-timelines from the finished :class:`~repro.core.schedule.Schedule` (the
-schedule-based overlap computation is quadratic; the trace keeps everything
-at O(n log n)).
+computation start/end and memory acquire/release events in time order.  The
+Gantt renderer and the event log read it; its idle, overlap and memory views
+use the same timeline sweep as :class:`~repro.core.schedule.Schedule`
+(:func:`~repro.core.schedule.busy_and_overlap` and
+:func:`~repro.core.schedule.memory_steps`), so a trace and the schedule of
+the same run report the same numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from ..core.schedule import MemoryEvent
+from ..core.schedule import MemoryEvent, busy_and_overlap, memory_steps
+from ..core.task import Task
 
 __all__ = ["EventKind", "SimEvent", "EventTrace"]
 
@@ -60,32 +61,22 @@ class SimEvent:
     amount: float = 0.0
 
 
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge overlapping/touching intervals (needed for parallel resources)."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
-
-
 class EventTrace:
     """Time-ordered journal of one kernel run.
 
-    Derived views (interval lists, makespan, memory profile) are computed
-    lazily and cached: the sweep engine reads several of them per run record.
+    Derived views (interval lists, makespan, coverage, memory profile) are
+    computed lazily and cached.
     """
 
-    __slots__ = ("_events", "_memory_profile", "_intervals", "_makespan")
+    __slots__ = ("_events", "_journal", "_memory_profile", "_intervals", "_makespan")
 
     def __init__(self, events: Iterable[SimEvent]):
+        # The events in the order the kernel emitted them: tasks in placement
+        # order, the order of the schedule's entries.  Summing memory changes
+        # in that order reproduces the schedule's profile float for float.
+        self._journal = tuple(events)
         self._events = tuple(
-            sorted(events, key=lambda e: (e.time, _KIND_RANK[e.kind], e.task))
+            sorted(self._journal, key=lambda e: (e.time, _KIND_RANK[e.kind], e.task))
         )
         self._memory_profile: list[MemoryEvent] | None = None
         self._intervals: dict[EventKind, list[tuple[float, float, str]]] = {}
@@ -107,18 +98,33 @@ class EventTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventTrace({len(self._events)} events, makespan={self.makespan:g})"
 
-    def shifted(self, offset: float) -> "EventTrace":
-        """Trace translated in time by ``offset`` (batch chaining)."""
+    def shifted(self, offset: float, tasks: Iterable[Task]) -> "EventTrace":
+        """Trace translated in time by ``offset`` (batch chaining).
+
+        As :meth:`~repro.core.schedule.Schedule.shifted` does, every start
+        moves by ``offset`` and every end is recomputed as the moved start
+        plus the task's duration (read from ``tasks``), so the shifted trace
+        and the shifted schedule report the same times float for float.
+        """
         if offset == 0.0:
             return self
-        return EventTrace(
-            SimEvent(e.time + offset, e.kind, e.task, e.amount) for e in self._events
-        )
+        durations = {task.name: (task.comm, task.comp) for task in tasks}
+        starts: dict[tuple[str, EventKind], float] = {}
+        events = []
+        for e in self._journal:
+            if e.kind is EventKind.TRANSFER_END:
+                time = starts[e.task, EventKind.TRANSFER_START] + durations[e.task][0]
+            elif e.kind in (EventKind.COMPUTE_END, EventKind.MEMORY_RELEASE):
+                time = starts[e.task, EventKind.COMPUTE_START] + durations[e.task][1]
+            else:
+                time = starts[e.task, e.kind] = e.time + offset
+            events.append(SimEvent(time, e.kind, e.task, e.amount))
+        return EventTrace(events)
 
     @classmethod
     def merged(cls, traces: Iterable["EventTrace"]) -> "EventTrace":
-        """One trace holding every event of ``traces`` (re-sorted)."""
-        return cls(event for trace in traces for event in trace)
+        """One trace holding every event of ``traces``, in the given order."""
+        return cls(event for trace in traces for event in trace._journal)
 
     # ------------------------------------------------------------------ #
     # Resource timelines
@@ -166,50 +172,23 @@ class EventTrace:
         """``(start, end, task)`` for every computation, in placement order."""
         return self._paired_intervals(EventKind.COMPUTE_START, EventKind.COMPUTE_END)
 
-    def busy_intervals(self, resource: str) -> list[tuple[float, float]]:
-        """Merged busy intervals of ``"communication"`` or ``"computation"``."""
-        if resource == "communication":
-            raw = self.transfer_intervals()
-        elif resource == "computation":
-            raw = self.compute_intervals()
-        else:
-            raise ValueError(f"unknown resource {resource!r}")
-        return _merge([(start, end) for start, end, _ in raw])
-
-    def idle_intervals(self, resource: str) -> list[tuple[float, float]]:
-        """Idle gaps of one resource within ``[0, makespan]``."""
-        busy = self.busy_intervals(resource)
-        horizon = self.makespan
-        gaps: list[tuple[float, float]] = []
-        cursor = 0.0
-        for start, end in busy:
-            if start > cursor:
-                gaps.append((cursor, start))
-            cursor = max(cursor, end)
-        if horizon > cursor:
-            gaps.append((cursor, horizon))
-        return gaps
+    def _coverage(self) -> tuple[float, float, float]:
+        return busy_and_overlap(
+            ((start, end) for start, end, _ in self.transfer_intervals()),
+            ((start, end) for start, end, _ in self.compute_intervals()),
+        )
 
     def idle_time(self, resource: str) -> float:
-        """Total idle time of one resource within ``[0, makespan]``."""
-        return sum(end - start for start, end in self.idle_intervals(resource))
+        """Total idle time of ``"communication"`` or ``"computation"`` within
+        ``[0, makespan]``."""
+        resources = ("communication", "computation")
+        if resource not in resources:
+            raise ValueError(f"unknown resource {resource!r}")
+        return self.makespan - self._coverage()[resources.index(resource)]
 
     def overlap_time(self) -> float:
         """Total time during which the link and the processor are both busy."""
-        comm = self.busy_intervals("communication")
-        comp = self.busy_intervals("computation")
-        overlap = 0.0
-        i = j = 0
-        while i < len(comm) and j < len(comp):
-            lo = max(comm[i][0], comp[j][0])
-            hi = min(comm[i][1], comp[j][1])
-            if hi > lo:
-                overlap += hi - lo
-            if comm[i][1] <= comp[j][1]:
-                i += 1
-            else:
-                j += 1
-        return overlap
+        return self._coverage()[2]
 
     # ------------------------------------------------------------------ #
     # Memory
@@ -218,18 +197,13 @@ class EventTrace:
         """Piecewise-constant memory occupation (same shape as
         :meth:`~repro.core.schedule.Schedule.memory_profile`)."""
         if self._memory_profile is None:
-            deltas: dict[float, float] = {}
-            for event in self._events:
-                if event.kind in (EventKind.MEMORY_ACQUIRE, EventKind.MEMORY_RELEASE):
-                    deltas[event.time] = deltas.get(event.time, 0.0) + event.amount
-            usage = 0.0
-            profile: list[MemoryEvent] = []
-            for time in sorted(deltas):
-                usage += deltas[time]
-                if -1e-9 < usage < 0:  # clamp tiny negative rounding residue
-                    usage = 0.0
-                profile.append(MemoryEvent(time=time, usage=usage))
-            self._memory_profile = profile
+            release = {e.task: e for e in self._journal if e.kind is EventKind.MEMORY_RELEASE}
+            self._memory_profile = memory_steps(
+                (event.time, event.amount)
+                for acquired in self._journal
+                if acquired.kind is EventKind.MEMORY_ACQUIRE
+                for event in (acquired, release[acquired.task])
+            )
         return self._memory_profile
 
     def peak_memory(self) -> float:

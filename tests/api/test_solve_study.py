@@ -1,6 +1,7 @@
 """Tests for the solve() facade and the fluent Study builder."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -93,6 +94,23 @@ class TestStudy:
         assert set(results.column("heuristic")) == {"LCMR", "SCMR", "MAMR", "OOMAMR"}
         assert set(results.column("capacity_factor")) == {1.0, 2.0}
         assert len(results) == 4 * 2
+
+    def test_default_sweep_matches_the_columnar_sweep(self, monkeypatch):
+        """A default sweep runs >=256-task rows on the event kernel; its
+        records equal a columnar sweep's, engine column aside."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        trace = synthetic_trace("mixed-intensity", tasks=300, seed=2)
+
+        def study():
+            return Study().traces(trace).capacities(1.0, 2.0).solvers("OOSIM", "LCMR", "OOLCMR")
+
+        default = study().run()
+        forced = study().engine("columnar").run()
+        assert set(default.column("engine")) == {"object"}
+        assert set(forced.column("engine")) == {"columnar"}
+        assert [replace(r, engine="") for r in default] == [
+            replace(r, engine="") for r in forced
+        ]
 
     def test_capacities_steps(self, traces):
         study = Study().traces(traces[0]).capacities(1.0, 2.0, steps=5).solvers("OS")

@@ -75,14 +75,10 @@ class TestEventTrace:
         trace = result.trace
         assert trace is not None
         assert trace.makespan == result.schedule.makespan
-        assert trace.peak_memory() == pytest.approx(result.schedule.peak_memory())
-        assert trace.overlap_time() == pytest.approx(result.schedule.overlap_time())
-        assert trace.idle_time("communication") == pytest.approx(
-            result.schedule.communication_idle_time()
-        )
-        assert trace.idle_time("computation") == pytest.approx(
-            result.schedule.computation_idle_time()
-        )
+        assert trace.peak_memory() == result.schedule.peak_memory()
+        assert trace.overlap_time() == result.schedule.overlap_time()
+        assert trace.idle_time("communication") == result.schedule.communication_idle_time()
+        assert trace.idle_time("computation") == result.schedule.computation_idle_time()
         transfers = {name: (s, e) for s, e, name in trace.transfer_intervals()}
         for entry in result.schedule:
             assert transfers[entry.name] == (entry.comm_start, entry.comm_end)
@@ -114,13 +110,20 @@ class TestEventTrace:
         result = simulate(small_instance, CriterionPolicy(smallest_communication))
         assert result.trace is None
 
-    def test_idle_intervals_cover_gaps(self, small_instance):
+    def test_idle_time_covers_gaps(self, small_instance):
         trace = simulate(
             small_instance, CriterionPolicy(smallest_communication), record=True
         ).trace
-        idle = trace.idle_time("computation")
-        busy = sum(e - s for s, e in trace.busy_intervals("computation"))
-        assert idle + busy == pytest.approx(trace.makespan)
+        for resource, intervals in (
+            ("communication", trace.transfer_intervals()),
+            ("computation", trace.compute_intervals()),
+        ):
+            idle = trace.idle_time(resource)
+            busy = sum(e - s for s, e, _ in intervals)
+            assert idle > 0
+            assert idle + busy == pytest.approx(trace.makespan)
+        with pytest.raises(ValueError, match="unknown resource"):
+            trace.idle_time("memory")
 
 
 class TestMachineModels:
